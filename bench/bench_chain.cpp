@@ -23,18 +23,22 @@
 // EXPERIMENTS.md are the counters an operator would scrape.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <map>
 #include <mutex>
 #include <new>
+#include <set>
 
 #include "anchord/daemon.hpp"
 #include "chain/service.hpp"
 #include "corpus/corpus.hpp"
 #include "incidents/listings.hpp"
+#include "revocation/crlite.hpp"
 #include "rootstore/snapshot/view.hpp"
 #include "rootstore/snapshot/writer.hpp"
+#include "util/rng.hpp"
 
 // Allocation probe for the SteadyAllocs benchmarks: every operator new in
 // the process bumps one relaxed counter. Deltas are read around
@@ -332,6 +336,122 @@ void BM_Validate_DaemonRedesign(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Validate_DaemonRedesign)->Arg(0)->Arg(50000)->ArgNames({"ipc_ns"});
+
+// ---------------------------------------------------------------------------
+// The cold verify path without the daemon: VerifyService::validate_batch
+// over 32-leaf frames of distinct census-corpus chains, the shape of
+// anchorbench's cold_batch requests. Leaves are taken in notBefore order and
+// a frame closes early when the next leaf would leave no instant inside
+// every member's validity window. The verdict cache holds a quarter of the
+// chains, so the cyclic scan misses on every verify and parse, path
+// search, signatures, CRLite revocation, fact encoding and Datalog all run.
+// Profile it with a -pg build: `bench_chain --benchmark_filter=Cold`.
+
+struct ColdFrame {
+  std::vector<Bytes> leaf_ders;
+  std::vector<std::string> hostnames;
+  std::vector<Bytes> intermediate_ders;
+  std::int64_t time = 0;
+};
+
+struct ColdBatchFixture {
+  corpus::Corpus corpus = corpus::Corpus::generate({});  // census-sized
+  rootstore::RootStore store;
+  std::vector<ColdFrame> frames;
+  std::size_t chains = 0;
+
+  ColdBatchFixture() : store(corpus.make_root_store()) {
+    for (const auto& root : corpus.roots()) {
+      store.attach_gcc(core::Gcc::for_certificate(
+                           "date-usage", *root.cert,
+                           incidents::listing1_trustcor())
+                           .take());
+    }
+    // CRLite over every intermediate's leaves, a seeded ~5% revoked.
+    Rng rng(0xc01dULL);
+    revocation::CompressedRevocationSet::Builder builder;
+    for (const auto& ca : corpus.intermediates()) builder.enroll(*ca.cert);
+    for (const auto& leaf : corpus.leaves()) {
+      const auto& issuer = *corpus.intermediates()[static_cast<std::size_t>(
+                                leaf.issuer_intermediate)].cert;
+      if (rng.chance(0.05)) {
+        builder.add_revoked(issuer, *leaf.cert);
+      } else {
+        builder.add_valid(issuer, *leaf.cert);
+      }
+    }
+    store.set_revocation_filter(
+        std::make_shared<const revocation::CompressedRevocationSet>(
+            builder.build().take()));
+
+    const auto& leaves = corpus.leaves();
+    std::vector<std::size_t> tls;
+    for (std::size_t i = 0; i < leaves.size(); ++i) {
+      if (!leaves[i].smime) tls.push_back(i);
+    }
+    std::sort(tls.begin(), tls.end(), [&](std::size_t a, std::size_t b) {
+      return leaves[a].cert->not_before() < leaves[b].cert->not_before();
+    });
+    ColdFrame frame;
+    std::set<int> issuers;
+    std::int64_t min_not_after = 0;
+    auto close = [&] {
+      if (frame.leaf_ders.empty()) return;
+      chains += frame.leaf_ders.size();
+      frames.push_back(std::move(frame));
+      frame = ColdFrame{};
+      issuers.clear();
+    };
+    for (std::size_t leaf : tls) {
+      const auto& record = leaves[leaf];
+      if (!frame.leaf_ders.empty() &&
+          record.cert->not_before() > min_not_after) {
+        close();
+      }
+      if (frame.leaf_ders.empty()) min_not_after = record.cert->not_after();
+      min_not_after = std::min(min_not_after, record.cert->not_after());
+      frame.time = record.cert->not_before();
+      frame.leaf_ders.push_back(record.cert->der());
+      frame.hostnames.push_back(record.domain);
+      if (issuers.insert(record.issuer_intermediate).second) {
+        frame.intermediate_ders.push_back(
+            corpus.intermediates()[static_cast<std::size_t>(
+                                       record.issuer_intermediate)]
+                .cert->der());
+      }
+      if (frame.leaf_ders.size() == 32) close();
+    }
+    close();
+  }
+};
+
+void BM_ValidateBatch_Cold(benchmark::State& state) {
+  static ColdBatchFixture f;
+  chain::ServiceConfig config;
+  config.threads = 1;
+  config.verdict_capacity = f.chains / 4;
+  chain::VerifyService service(f.store, f.corpus.signatures(), config);
+  std::size_t next = 0;
+  std::int64_t leaves = 0;
+  for (auto _ : state) {
+    const ColdFrame& frame = f.frames[next];
+    next = (next + 1) % f.frames.size();
+    chain::VerifyOptions options;
+    options.time = frame.time;
+    auto results = service.validate_batch(frame.leaf_ders, frame.hostnames,
+                                          frame.intermediate_ders, options);
+    benchmark::DoNotOptimize(results);
+    leaves += static_cast<std::int64_t>(results.size());
+  }
+  state.SetItemsProcessed(leaves);
+  const chain::ServiceStats stats = service.stats();
+  const double lookups =
+      static_cast<double>(stats.verdict_hits + stats.verdict_misses);
+  state.counters["verdict_hit_rate"] =
+      lookups > 0 ? static_cast<double>(stats.verdict_hits) / lookups : 0.0;
+  state.counters["frames"] = static_cast<double>(f.frames.size());
+}
+BENCHMARK(BM_ValidateBatch_Cold)->Unit(benchmark::kMicrosecond);
 
 // ---------------------------------------------------------------------------
 // E16 — warm start from an mmap snapshot.

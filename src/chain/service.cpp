@@ -9,21 +9,15 @@ namespace anchor::chain {
 
 namespace {
 
-// SHA-256 over the DER path, leaf-first. Length-prefixing each element
-// keeps concatenation unambiguous (two different splits of the same byte
-// stream cannot collide).
-std::string chain_fingerprint(const core::Chain& chain) {
+// SHA-256 over the certificates' own fingerprints, leaf-first. Each element
+// is a fixed-width digest, so the concatenation is unambiguous, and the
+// cost is two blocks however long the DERs are.
+Sha256::Digest chain_fingerprint(const core::Chain& chain) {
   Sha256 hasher;
   for (const x509::CertPtr& cert : chain) {
-    const Bytes& der = cert->der();
-    std::uint64_t len = der.size();
-    std::uint8_t prefix[8];
-    for (int i = 0; i < 8; ++i) prefix[i] = static_cast<std::uint8_t>(len >> (8 * i));
-    hasher.update(BytesView(prefix, sizeof prefix));
-    hasher.update(BytesView(der));
+    hasher.update(BytesView(cert->fingerprint()));
   }
-  const Sha256::Digest digest = hasher.finish();
-  return to_hex(BytesView(digest));
+  return hasher.finish();
 }
 
 std::uint64_t now_ns() {
@@ -37,9 +31,8 @@ std::uint64_t now_ns() {
 
 std::size_t VerifyService::VerdictKeyHash::operator()(
     const VerdictKey& key) const {
-  std::size_t h = std::hash<std::string>{}(key.chain_fp);
-  h ^= std::hash<std::string>{}(key.root_hash) + 0x9e3779b97f4a7c15ULL +
-       (h << 6) + (h >> 2);
+  std::size_t h = DigestHash{}(key.chain);
+  h ^= DigestHash{}(key.root) + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
   h ^= std::hash<std::string>{}(key.usage) + 0x9e3779b97f4a7c15ULL + (h << 6) +
        (h >> 2);
   h ^= std::hash<std::uint64_t>{}(key.epoch) + 0x9e3779b97f4a7c15ULL +
@@ -105,7 +98,7 @@ struct VerifyService::Snapshot {
       if (!v.allowed) verdict.failed_gcc = v.failed_gcc;
       return v.allowed;
     }
-    VerdictKey key{epoch, chain.back()->fingerprint_hex(),
+    VerdictKey key{epoch, chain.back()->fingerprint(),
                    chain_fingerprint(chain), std::string(usage)};
     CachedVerdict cached;
     if (service.verdict_cache_.get(key, cached)) {
@@ -157,6 +150,7 @@ VerifyService::VerifyService(rootstore::RootStore& store,
       m_calls_(registry.counter("anchor_verify_calls_total")),
       m_epoch_flushes_(registry.counter("anchor_verify_epoch_flushes_total")),
       m_stale_purged_(registry.counter("anchor_verify_stale_purged_total")),
+      m_truncated_(registry.counter("anchor_verify_truncated_total")),
       m_latency_(registry.histogram("anchor_verify_latency_seconds")),
       m_queue_depth_(registry.gauge("anchor_verify_queue_depth")),
       m_epoch_(registry.gauge("anchor_verify_epoch")) {
@@ -285,6 +279,7 @@ VerifyResult VerifyService::verify_on(const Snapshot& snapshot,
   total_ns_.fetch_add(elapsed, std::memory_order_relaxed);
   m_calls_.add();
   m_latency_.observe(static_cast<double>(elapsed) * 1e-9);
+  if (result.truncated) m_truncated_.add();
   return result;
 }
 
@@ -327,19 +322,11 @@ std::vector<VerifyResult> VerifyService::verify_batch(
 }
 
 Result<x509::CertPtr> VerifyService::parse_cached(BytesView der) {
-  const std::string key = Sha256::hash_hex(der);
-  x509::CertPtr cached;
-  if (cert_cache_.get(key, cached)) {
-    cert_hits_.fetch_add(1, std::memory_order_relaxed);
-    m_cert_hit_.add();
-    return cached;
-  }
-  cert_misses_.fetch_add(1, std::memory_order_relaxed);
-  m_cert_miss_.add();
-  auto parsed = x509::Certificate::parse(der);
-  if (!parsed) return parsed;
-  cert_cache_.put(key, parsed.value());
-  return parsed;
+  bool hit = false;
+  auto cert = cert_cache_.get_or_parse(der, hit);
+  (hit ? cert_hits_ : cert_misses_).fetch_add(1, std::memory_order_relaxed);
+  (hit ? m_cert_hit_ : m_cert_miss_).add();
+  return cert;
 }
 
 bool VerifyService::evaluate_gccs(std::span<const Bytes> chain_der,

@@ -7,13 +7,15 @@
 //
 //   * a worker pool (util/threadpool) for async/batch submission;
 //   * a sharded, mutex-striped GCC-verdict cache keyed by
-//     (root hash, chain fingerprint = SHA-256 over the DER path, usage,
-//     store epoch) — same chain + same GCC set evaluates to the same
-//     verdict because GCCs are pure stratified Datalog over chain facts,
-//     so memoizing the Boolean is sound (DESIGN.md, "Verification service
-//     & cache coherence");
-//   * a parsed-certificate cache keyed by DER hash, shared by the
-//     DER-boundary entry points (TrustDaemon routing);
+//     (store epoch, root fingerprint, chain fingerprint = SHA-256 over the
+//     certificates' own fingerprints, leaf-first, usage), all raw digests
+//     — same chain + same GCC set evaluates to the same verdict because
+//     GCCs are pure stratified Datalog over chain facts, so memoizing the
+//     Boolean is sound (DESIGN.md, "Verification service & cache
+//     coherence");
+//   * a parsed-certificate cache (chain/cert_cache.hpp) keyed by a cheap
+//     hash of the DER and confirmed byte for byte on every hit, shared by
+//     the DER-boundary entry points (TrustDaemon routing);
 //   * RCU-style store snapshots: verification runs against an immutable
 //     copy of the RootStore, so no lock is held during path construction
 //     or Datalog evaluation. Mutations flow through mutate(), which
@@ -32,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "chain/cert_cache.hpp"
 #include "chain/verifier.hpp"
 #include "datalog/eval.hpp"
 #include "rootstore/snapshot/view.hpp"
@@ -171,8 +174,8 @@ class VerifyService {
 
   struct VerdictKey {
     std::uint64_t epoch;
-    std::string root_hash;   // hex fingerprint of the candidate root
-    std::string chain_fp;    // hex SHA-256 over the chain's DER, leaf-first
+    Sha256::Digest root;   // fingerprint of the candidate root
+    Sha256::Digest chain;  // SHA-256 over the chain's fingerprints, leaf-first
     std::string usage;
     bool operator==(const VerdictKey&) const = default;
   };
@@ -217,7 +220,7 @@ class VerifyService {
   std::shared_ptr<const Snapshot> snapshot_;
 
   ShardedLruCache<VerdictKey, CachedVerdict, VerdictKeyHash> verdict_cache_;
-  ShardedLruCache<std::string, x509::CertPtr> cert_cache_;
+  CertCache<> cert_cache_;
   ThreadPool pool_;
 
   // Counters are plain atomics: hot-path increments, no locks.
@@ -242,6 +245,7 @@ class VerifyService {
   metrics::Counter& m_calls_;
   metrics::Counter& m_epoch_flushes_;
   metrics::Counter& m_stale_purged_;
+  metrics::Counter& m_truncated_;
   metrics::Histogram& m_latency_;
   metrics::Gauge& m_queue_depth_;
   metrics::Gauge& m_epoch_;

@@ -1,8 +1,8 @@
 #include "chain/verifier.hpp"
 
+#include <algorithm>
 #include <functional>
 #include <set>
-#include <unordered_set>
 
 #include "revocation/crlite.hpp"
 #include "x509/oids.hpp"
@@ -36,11 +36,19 @@ ChainVerifier::ChainVerifier(const rootstore::StoreReader& store,
 
 struct ChainVerifier::SearchState {
   core::Chain path;  // leaf-first
-  std::unordered_set<std::string> visited;
   const CertificatePool* pool = nullptr;
 };
 
 namespace {
+
+// The cycle check: `cert` already sits on `path`. A path holds at most
+// max_depth certificates, so comparing digests along it is cheaper than
+// maintaining a separate visited set that would mirror it exactly.
+bool on_path(const core::Chain& path, const x509::Certificate& cert) {
+  return std::ranges::any_of(path, [&](const x509::CertPtr& member) {
+    return member->fingerprint() == cert.fingerprint();
+  });
+}
 
 // nullopt = pass; otherwise the classified rejection.
 std::optional<Fault> fault(ErrorKind kind, std::string detail) {
@@ -225,26 +233,28 @@ bool ChainVerifier::extend(SearchState& state, const VerifyOptions& options,
 
   // Option 1: terminate at a trusted root that issued `current` (respecting
   // the depth bound on the completed chain).
-  for (const rootstore::RootEntry* entry : store_.trusted()) {
-    if (state.path.size() >= options.max_depth) break;
-    if (!(entry->cert->subject() == current->issuer())) continue;
-    if (entry->cert->fingerprint() == current->fingerprint()) continue;
-    if (out_of_budget()) return false;
-    ++result.paths_explored;
-    core::Chain candidate = state.path;
-    candidate.push_back(entry->cert);
-    if (auto link = check_link(*current, *entry->cert, state.path.size() - 1,
-                               options)) {
-      record_rejection(result, candidate, *link);
-      continue;
+  if (state.path.size() < options.max_depth) {
+    for (const rootstore::RootEntry* entry :
+         store_.trusted_with_subject(current->issuer())) {
+      if (!(entry->cert->subject() == current->issuer())) continue;
+      if (entry->cert->fingerprint() == current->fingerprint()) continue;
+      if (out_of_budget()) return false;
+      ++result.paths_explored;
+      core::Chain candidate = state.path;
+      candidate.push_back(entry->cert);
+      if (auto link = check_link(*current, *entry->cert,
+                                 state.path.size() - 1, options)) {
+        record_rejection(result, candidate, *link);
+        continue;
+      }
+      if (auto root_check = check_at_root(candidate, *entry, options, result)) {
+        record_rejection(result, candidate, *root_check);
+        continue;  // the paper's "continue building" loop
+      }
+      result.ok = true;
+      result.chain = std::move(candidate);
+      return true;
     }
-    if (auto root_check = check_at_root(candidate, *entry, options, result)) {
-      record_rejection(result, candidate, *root_check);
-      continue;  // the paper's "continue building" loop
-    }
-    result.ok = true;
-    result.chain = std::move(candidate);
-    return true;
   }
 
   // Option 2: the current certificate is itself a trusted root (e.g. a
@@ -289,8 +299,7 @@ bool ChainVerifier::extend(SearchState& state, const VerifyOptions& options,
       }
     }
     for (const x509::CertPtr& candidate : node->certs) {
-      const std::string hash = candidate->fingerprint_hex();
-      if (state.visited.contains(hash)) continue;
+      if (on_path(state.path, *candidate)) continue;
       if (auto link = check_link(*current, *candidate, state.path.size() - 1,
                                  options)) {
         // Not a rejected *path* (the search just doesn't go this way), but
@@ -298,11 +307,9 @@ bool ChainVerifier::extend(SearchState& state, const VerifyOptions& options,
         if (result.kind == ErrorKind::kOk) result.kind = link->kind;
         continue;
       }
-      state.visited.insert(hash);
       state.path.push_back(candidate);
       if (extend(state, options, result)) return true;
       state.path.pop_back();
-      state.visited.erase(hash);
       if (result.truncated) return false;
     }
   }
@@ -320,7 +327,6 @@ VerifyResult ChainVerifier::verify(const x509::CertPtr& leaf,
   }
   SearchState state;
   state.path.push_back(leaf);
-  state.visited.insert(leaf->fingerprint_hex());
   state.pool = &pool;
   if (!extend(state, options, result)) {
     if (result.error.empty()) {
@@ -350,8 +356,6 @@ std::vector<std::vector<std::string>> ChainVerifier::enumerate_paths(
   std::set<std::vector<std::string>> seen;
   core::Chain path;
   path.push_back(leaf);
-  std::unordered_set<std::string> visited;
-  visited.insert(leaf->fingerprint_hex());
 
   auto fingerprints = [](const core::Chain& chain) {
     std::vector<std::string> fps;
@@ -368,7 +372,8 @@ std::vector<std::vector<std::string>> ChainVerifier::enumerate_paths(
     if (out.size() >= max_paths) return;
     const x509::CertPtr current = path.back();
     if (path.size() < max_depth) {
-      for (const rootstore::RootEntry* entry : store_.trusted()) {
+      for (const rootstore::RootEntry* entry :
+           store_.trusted_with_subject(current->issuer())) {
         if (!(entry->cert->subject() == current->issuer())) continue;
         if (entry->cert->fingerprint() == current->fingerprint()) continue;
         core::Chain candidate = path;
@@ -384,13 +389,10 @@ std::vector<std::vector<std::string>> ChainVerifier::enumerate_paths(
     if (path.size() >= max_depth) return;
     for (const GraphNode* node : pool.nodes_for_subject(current->issuer())) {
       for (const x509::CertPtr& candidate : node->certs) {
-        const std::string hash = candidate->fingerprint_hex();
-        if (visited.contains(hash)) continue;
-        visited.insert(hash);
+        if (on_path(path, *candidate)) continue;
         path.push_back(candidate);
         dfs();
         path.pop_back();
-        visited.erase(hash);
         if (out.size() >= max_paths) return;
       }
     }

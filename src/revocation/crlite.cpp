@@ -11,19 +11,22 @@ namespace anchor::revocation {
 
 namespace {
 
-void put_u64_le(Bytes& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back((v >> (8 * i)) & 0xff);
+void put_u64_le(Sha256& hasher, std::uint64_t v) {
+  std::uint8_t le[8];
+  for (int i = 0; i < 8; ++i) le[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  hasher.update(BytesView(le, sizeof le));
 }
 
 // Two independent 64-bit hashes of (salt, level, key) via one SHA-256;
 // indices derive by double hashing (h1 + j*h2), the standard Bloom trick.
 void hash_pair(std::uint64_t salt, std::uint32_t level, const std::string& key,
                std::uint64_t& h1, std::uint64_t& h2) {
-  Bytes material;
-  put_u64_le(material, salt);
-  put_u64_le(material, level);
-  append(material, to_bytes(key));
-  Sha256::Digest digest = Sha256::hash(BytesView(material));
+  Sha256 hasher;
+  put_u64_le(hasher, salt);
+  put_u64_le(hasher, level);
+  hasher.update(BytesView(reinterpret_cast<const std::uint8_t*>(key.data()),
+                          key.size()));
+  Sha256::Digest digest = hasher.finish();
   std::memcpy(&h1, digest.data(), 8);
   std::memcpy(&h2, digest.data() + 8, 8);
   if (h2 == 0) h2 = 0x9e3779b97f4a7c15ULL;  // keep the probe sequence moving
@@ -155,7 +158,10 @@ bool CompressedRevocationSet::is_enrolled(BytesView issuer_spki) const {
 
 bool CompressedRevocationSet::contains(BytesView issuer_spki,
                                        BytesView serial) const {
-  const std::string key = key_for(Sha256::hash(issuer_spki), serial);
+  return cascade_contains(key_for(Sha256::hash(issuer_spki), serial));
+}
+
+bool CompressedRevocationSet::cascade_contains(const std::string& key) const {
   for (std::size_t i = 0; i < levels_.size(); ++i) {
     if (!level_contains(levels_[i], i, key)) {
       // Absent from an odd (revoked-side) level => not revoked; absent from
@@ -169,8 +175,12 @@ bool CompressedRevocationSet::contains(BytesView issuer_spki,
 
 RevocationStatus CompressedRevocationSet::check(const x509::Certificate& cert,
                                                 BytesView issuer_spki) const {
-  if (!is_enrolled(issuer_spki)) return RevocationStatus::kUnknown;
-  return contains(issuer_spki, BytesView(cert.serial()))
+  // One SPKI hash serves both the enrollment lookup and the cascade key.
+  const Sha256::Digest spki_hash = Sha256::hash(issuer_spki);
+  if (!enrolled_.contains(to_hex(BytesView(spki_hash)))) {
+    return RevocationStatus::kUnknown;
+  }
+  return cascade_contains(key_for(spki_hash, BytesView(cert.serial())))
              ? RevocationStatus::kRevoked
              : RevocationStatus::kGood;
 }

@@ -102,6 +102,8 @@ class CompressedRevocationSet : public Provider {
   };
 
   static std::string key_for(const Sha256::Digest& spki_hash, BytesView serial);
+  // The cascade walk for one key (see the header comment for the parity rule).
+  bool cascade_contains(const std::string& key) const;
   bool level_contains(const Level& level, std::size_t index,
                       const std::string& key) const;
   static void level_insert(Level& level, std::size_t index,

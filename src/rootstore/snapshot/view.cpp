@@ -237,6 +237,7 @@ bool StoreView::load(BytesView bytes, SnapshotError& error) {
 
   trusted_order_.reserve(header.trusted_count);
   entries_.reserve(header.trusted_count);
+  subjects_.reserve(header.trusted_count);
   if (!section(kSectionTrusted, header.trusted_count, [&](Cursor& c) {
         std::uint8_t flags = 0;
         RootMetadata md;
@@ -266,6 +267,7 @@ bool StoreView::load(BytesView bytes, SnapshotError& error) {
         if (!by_hash_.emplace(hash, entries_.size()).second) {
           return fail(ErrorClass::kMalformed, "duplicate trusted root " + hash);
         }
+        subjects_.push_back(subject_key(cert.value()->subject()));
         trusted_order_.push_back(std::move(hash));
         entries_.push_back(RootEntry{std::move(cert).take(), std::move(md)});
         return true;
@@ -378,6 +380,18 @@ std::vector<const RootEntry*> StoreView::trusted() const {
   std::vector<const RootEntry*> out;
   out.reserve(entries_.size());
   for (const RootEntry& entry : entries_) out.push_back(&entry);
+  return out;
+}
+
+std::vector<const RootEntry*> StoreView::trusted_with_subject(
+    const x509::DistinguishedName& subject) const {
+  const std::size_t key = subject_key(subject);
+  std::vector<const RootEntry*> out;
+  for (std::size_t i = 0; i < subjects_.size(); ++i) {
+    if (subjects_[i] == key && entries_[i].cert->subject() == subject) {
+      out.push_back(&entries_[i]);
+    }
+  }
   return out;
 }
 

@@ -56,6 +56,8 @@ class StoreView final : public StoreReader {
   TrustState state_of(const std::string& hash_hex) const override;
   const RootEntry* find(const std::string& hash_hex) const override;
   std::vector<const RootEntry*> trusted() const override;
+  std::vector<const RootEntry*> trusted_with_subject(
+      const x509::DistinguishedName& subject) const override;
   std::span<const core::Gcc> gccs_for_root(
       const std::string& hash_hex) const override;
   std::size_t trusted_count() const override { return entries_.size(); }
@@ -91,6 +93,7 @@ class StoreView final : public StoreReader {
   std::vector<std::string> trusted_order_;  // insertion order, parallel
   std::vector<RootEntry> entries_;          // to entries_
   std::unordered_map<std::string, std::size_t> by_hash_;
+  std::vector<std::size_t> subjects_;       // subject_key() per entries_
   std::unordered_map<std::string, std::string> distrusted_;
   std::unordered_map<std::string, std::vector<core::Gcc>> gccs_by_root_;
   std::size_t gcc_total_ = 0;

@@ -59,14 +59,22 @@ void RootStore::add_trusted_unchecked(x509::CertPtr cert,
     return;
   }
   trusted_order_.push_back(hash);
+  trusted_subjects_.push_back(subject_key(cert->subject()));
   trusted_[hash] = RootEntry{std::move(cert), std::move(metadata)};
   ++epoch_;
 }
 
-void RootStore::distrust(const std::string& hash_hex,
-                         std::string justification) {
-  bool was_trusted = trusted_.erase(hash_hex) > 0;
-  if (was_trusted) std::erase(trusted_order_, hash_hex);
+bool RootStore::drop_trusted(const std::string& hash) {
+  if (trusted_.erase(hash) == 0) return false;
+  const auto pos = std::find(trusted_order_.begin(), trusted_order_.end(), hash);
+  trusted_subjects_.erase(trusted_subjects_.begin() +
+                          (pos - trusted_order_.begin()));
+  trusted_order_.erase(pos);
+  return true;
+}
+
+void RootStore::distrust(std::string hash_hex, std::string justification) {
+  const bool was_trusted = drop_trusted(hash_hex);
   auto it = distrusted_.find(hash_hex);
   if (it != distrusted_.end()) {
     // Already distrusted with the same justification (and not shadowed by a
@@ -80,10 +88,9 @@ void RootStore::distrust(const std::string& hash_hex,
   ++epoch_;
 }
 
-bool RootStore::forget(const std::string& hash_hex) {
-  bool was_trusted = trusted_.erase(hash_hex) > 0;
-  if (was_trusted) std::erase(trusted_order_, hash_hex);
-  bool was_distrusted = distrusted_.erase(hash_hex) > 0;
+bool RootStore::forget(std::string hash_hex) {
+  const bool was_trusted = drop_trusted(hash_hex);
+  const bool was_distrusted = distrusted_.erase(hash_hex) > 0;
   if (was_distrusted) std::erase(distrusted_order_, hash_hex);
   if (was_trusted || was_distrusted) ++epoch_;
   return was_trusted || was_distrusted;
@@ -129,6 +136,28 @@ std::vector<const RootEntry*> RootStore::trusted() const {
     if (it != trusted_.end()) out.push_back(&it->second);
   }
   return out;
+}
+
+std::vector<const RootEntry*> RootStore::trusted_with_subject(
+    const x509::DistinguishedName& subject) const {
+  const std::size_t key = subject_key(subject);
+  std::vector<const RootEntry*> out;
+  for (std::size_t i = 0; i < trusted_subjects_.size(); ++i) {
+    if (trusted_subjects_[i] != key) continue;
+    const RootEntry& entry = trusted_.at(trusted_order_[i]);
+    if (entry.cert->subject() == subject) out.push_back(&entry);
+  }
+  return out;
+}
+
+std::size_t subject_key(const x509::DistinguishedName& subject) {
+  std::size_t h = 0;
+  for (const x509::NameAttribute& attr : subject.attributes()) {
+    for (std::uint32_t arc : attr.type.arcs()) h = h * 31 + arc;
+    h ^= std::hash<std::string_view>{}(attr.value) + 0x9e3779b97f4a7c15ULL +
+         (h << 6) + (h >> 2);
+  }
+  return h;
 }
 
 std::string RootStore::serialize() const {

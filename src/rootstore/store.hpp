@@ -67,6 +67,11 @@ class StoreReader {
   // Insertion order — path search tries candidate roots in this order, so
   // the order is part of the verdict contract (first accepted path wins).
   virtual std::vector<const RootEntry*> trusted() const = 0;
+  // The trusted roots whose subject equals `subject`, in trusted() order:
+  // the candidate issuers path search asks for at each step, answered from
+  // a column of subject hashes rather than a DN compare against every root.
+  virtual std::vector<const RootEntry*> trusted_with_subject(
+      const x509::DistinguishedName& subject) const = 0;
   // Attachment order (all must hold, but diagnostics name the first
   // failure, so order is observable).
   virtual std::span<const core::Gcc> gccs_for_root(
@@ -98,12 +103,15 @@ class RootStore : public StoreReader {
 
   // Moves a root into the explicitly-distrusted set (removing it from the
   // trusted set if present). Distrust by hash also works for roots the
-  // store never carried.
-  void distrust(const std::string& hash_hex, std::string justification = "");
+  // store never carried. The hash is taken by value: a caller may pass a
+  // key owned by the store itself (e.g. distrusted().begin()->first), which
+  // the mutation erases.
+  void distrust(std::string hash_hex, std::string justification = "");
 
   // Forgets a root entirely (back to kUnknown) — e.g. expired housekeeping.
   // Distinct from distrust. Returns true if it was present in either set.
-  bool forget(const std::string& hash_hex);
+  // By value for the same aliasing reason as distrust().
+  bool forget(std::string hash_hex);
 
   // Force-adds a trusted root even if distrusted (used by merge tooling to
   // model derivative stores that re-add removed roots, as Amazon Linux did).
@@ -113,6 +121,8 @@ class RootStore : public StoreReader {
   const RootEntry* find(const std::string& hash_hex) const override;
 
   std::vector<const RootEntry*> trusted() const override;
+  std::vector<const RootEntry*> trusted_with_subject(
+      const x509::DistinguishedName& subject) const override;
   const std::unordered_map<std::string, std::string>& distrusted() const {
     return distrusted_;  // hash -> justification
   }
@@ -182,6 +192,10 @@ class RootStore : public StoreReader {
   // hash -> entry, plus insertion order for deterministic serialization.
   std::unordered_map<std::string, RootEntry> trusted_;
   std::vector<std::string> trusted_order_;
+  // subject_key() of each trusted_order_ entry, at the same position: the
+  // column trusted_with_subject() scans. One flat array rather than a map
+  // of per-subject lists keeps the many copies a store goes through cheap.
+  std::vector<std::size_t> trusted_subjects_;
   std::unordered_map<std::string, std::string> distrusted_;
   std::vector<std::string> distrusted_order_;
   core::GccStore gccs_;
@@ -189,7 +203,16 @@ class RootStore : public StoreReader {
   std::shared_ptr<const revocation::CompressedRevocationSet>
       revocation_filter_;
   std::uint64_t epoch_ = 0;
+
+  // Removes `hash` from the trusted set, its order and its subject column;
+  // returns whether it was trusted.
+  bool drop_trusted(const std::string& hash);
 };
+
+// Hash of a subject name, for the subject columns behind
+// trusted_with_subject(). Equal names share a key; distinct names may too,
+// so lookups confirm with ==.
+std::size_t subject_key(const x509::DistinguishedName& subject);
 
 // Publishes the store's current shape into `registry` as gauges
 // (anchor_store_trusted_roots, anchor_store_distrusted_roots,

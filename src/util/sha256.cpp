@@ -55,17 +55,16 @@ void Sha256::update(BytesView data) {
 }
 
 Sha256::Digest Sha256::finish() {
-  std::uint64_t bit_len = total_len_ * 8;
-  const std::uint8_t pad_start = 0x80;
-  update(BytesView(&pad_start, 1));
-  const std::uint8_t zero = 0x00;
-  while (buffer_len_ != 56) update(BytesView(&zero, 1));
-  std::array<std::uint8_t, 8> len_bytes;
+  // 0x80, zeros up to 56 mod 64, then the 64-bit big-endian bit length:
+  // one update() call, so the tail costs at most two block compressions.
+  const std::uint64_t bit_len = total_len_ * 8;
+  std::array<std::uint8_t, 72> pad{};
+  pad[0] = 0x80;
+  const std::size_t zeros = (119 - buffer_len_) % 64;
   for (int i = 0; i < 8; ++i) {
-    len_bytes[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+    pad[1 + zeros + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
   }
-  // Adjust total_len_ bookkeeping is irrelevant past this point.
-  update(BytesView(len_bytes.data(), len_bytes.size()));
+  update(BytesView(pad.data(), 1 + zeros + 8));
 
   Digest digest;
   for (int i = 0; i < 8; ++i) {

@@ -6,6 +6,7 @@
 
 #include <array>
 #include <cstdint>
+#include <cstring>
 
 #include "util/bytes.hpp"
 
@@ -34,6 +35,16 @@ class Sha256 {
   std::array<std::uint8_t, 64> buffer_;
   std::size_t buffer_len_ = 0;
   std::uint64_t total_len_ = 0;
+};
+
+// Hash functor for digest-keyed containers: a SHA-256 digest is already
+// uniformly distributed, so its first word is the bucket hash.
+struct DigestHash {
+  std::size_t operator()(const Sha256::Digest& digest) const {
+    std::size_t h;
+    std::memcpy(&h, digest.data(), sizeof h);
+    return h;
+  }
 };
 
 }  // namespace anchor

@@ -1,5 +1,7 @@
 #include "util/simsig.hpp"
 
+#include <algorithm>
+
 namespace anchor {
 
 namespace {
@@ -29,19 +31,31 @@ Bytes SimSig::sign(const SimKeyPair& key, BytesView message) {
   return domain_hash(kSigDomain, BytesView(key.secret), message);
 }
 
-void SimSig::register_key(const SimKeyPair& key) {
-  secrets_[to_hex(BytesView(key.key_id))] = key.secret;
+bool SimSig::register_key(const SimKeyPair& key) {
+  const Bytes expect_id = domain_hash(kKeyDomain, BytesView(key.secret), {});
+  if (!ct_equal(BytesView(expect_id), BytesView(key.key_id))) return false;
+  Sha256::Digest id;
+  std::copy(key.key_id.begin(), key.key_id.end(), id.begin());
+  secrets_[id] = key.secret;
+  return true;
 }
 
 bool SimSig::verify(BytesView key_id, BytesView message,
                     BytesView signature) const {
-  auto it = secrets_.find(to_hex(key_id));
+  // Registered ids are SHA-256 outputs; any other length is unknown.
+  if (key_id.size() != Sha256::kDigestSize) return false;
+  Sha256::Digest id;
+  std::copy(key_id.begin(), key_id.end(), id.begin());
+  auto it = secrets_.find(id);
   if (it == secrets_.end()) return false;
-  // Check the claimed key id actually corresponds to the stored secret.
-  Bytes expect_id = domain_hash(kKeyDomain, BytesView(it->second), {});
-  if (!ct_equal(BytesView(expect_id), key_id)) return false;
-  SimKeyPair pair{Bytes(key_id.begin(), key_id.end()), it->second};
-  Bytes expect = sign(pair, message);
+  // The id was checked against the secret at registration, so only the tag
+  // is recomputed: H(sig-domain || secret || message), streamed.
+  Sha256 h;
+  h.update(BytesView(reinterpret_cast<const std::uint8_t*>(kSigDomain.data()),
+                     kSigDomain.size()));
+  h.update(BytesView(it->second));
+  h.update(message);
+  const Sha256::Digest expect = h.finish();
   return ct_equal(BytesView(expect), signature);
 }
 

@@ -11,7 +11,9 @@
 // Verification recomputes the tag, which requires the secret; to keep the
 // public/private split honest at the API level, verification goes through a
 // KeyRegistry that maps key ids to signing secrets and plays the role of
-// "doing the math" a real asymmetric verify would. Forging a signature for
+// "doing the math" a real asymmetric verify would. The registry checks
+// key id = H(key-domain || secret) once, when a pair is registered, and
+// refuses a pair that fails it — so verify() hashes only the tag. Forging a signature for
 // an unknown secret still requires inverting SHA-256, so negative tests
 // (tampered certificates must fail) behave exactly as with real crypto.
 //
@@ -52,7 +54,9 @@ class SimSig final : public SignatureScheme {
   static Bytes sign(const SimKeyPair& key, BytesView message);
 
   // Registers a key pair so verify() can recompute tags for its key id.
-  void register_key(const SimKeyPair& key);
+  // Returns false, registering nothing, if `key.key_id` is not derived from
+  // `key.secret`: such a pair could never have produced a valid signature.
+  bool register_key(const SimKeyPair& key);
 
   bool verify(BytesView key_id, BytesView message,
               BytesView signature) const override;
@@ -60,7 +64,7 @@ class SimSig final : public SignatureScheme {
   std::size_t registered_keys() const { return secrets_.size(); }
 
  private:
-  std::unordered_map<std::string, Bytes> secrets_;  // hex(key_id) -> secret
+  std::unordered_map<Sha256::Digest, Bytes, DigestHash> secrets_;  // key id -> secret
 };
 
 }  // namespace anchor

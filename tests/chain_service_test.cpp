@@ -357,6 +357,68 @@ TEST(VerifyService, DerEntryPointsShareParseCache) {
   EXPECT_GE(service.stats().cert_hits, 5u);
 }
 
+// Every DER maps to one cache key, so each lookup collides with whatever
+// certificate holds the slot.
+struct CollidingKey {
+  std::size_t operator()(BytesView) const { return 7; }
+};
+
+// The cert cache keys on a non-cryptographic hash; a hit is only a hit
+// once the cached certificate's DER compares equal, so a collision costs a
+// reparse and never serves another certificate.
+TEST(CertCache, KeyCollisionReparsesInsteadOfServingAnotherCertificate) {
+  ServicePki pki;
+  CertCache<CollidingKey> cache(16, 1);
+  const Bytes& der_a = pki.leaves[0]->der();
+  const Bytes& der_b = pki.leaves[1]->der();
+  ASSERT_NE(der_a, der_b);
+
+  bool hit = true;
+  auto a = cache.get_or_parse(der_a, hit);
+  ASSERT_TRUE(a);
+  EXPECT_FALSE(hit);
+  auto b = cache.get_or_parse(der_b, hit);
+  ASSERT_TRUE(b);
+  EXPECT_FALSE(hit);
+  EXPECT_EQ(b.value()->der(), der_b);
+  EXPECT_EQ(b.value()->fingerprint(), pki.leaves[1]->fingerprint());
+
+  // b took the shared slot: b hits, a is parsed again.
+  auto b_again = cache.get_or_parse(der_b, hit);
+  EXPECT_TRUE(hit);
+  EXPECT_EQ(b_again.value().get(), b.value().get());
+  auto a_again = cache.get_or_parse(der_a, hit);
+  EXPECT_FALSE(hit);
+  EXPECT_EQ(a_again.value()->der(), der_a);
+  EXPECT_EQ(cache.size(), 1u);
+}
+
+// A search that stops at the max_paths budget is counted in
+// anchor_verify_truncated_total; one that finishes is not.
+TEST(VerifyService, TruncatedSearchesAreCounted) {
+  ServicePki pki;
+  metrics::Registry registry;
+  VerifyService service(pki.store, pki.sigs, {}, registry);
+  const metrics::Counter& truncated =
+      registry.counter("anchor_verify_truncated_total");
+
+  ASSERT_TRUE(service.verify(pki.leaves[0], pki.pool, pki.options_for(0)).ok);
+  EXPECT_EQ(truncated.value(), 0u);
+
+  VerifyOptions starved = pki.options_for(0);
+  starved.max_paths = 0;  // the first candidate path is already over budget
+  VerifyResult result = service.verify(pki.leaves[0], pki.pool, starved);
+  EXPECT_FALSE(result.ok);
+  EXPECT_TRUE(result.truncated);
+  EXPECT_EQ(truncated.value(), 1u);
+
+  // The DER entry point counts through the same verify path.
+  std::vector<Bytes> intermediates{pki.intermediates[0]->der()};
+  EXPECT_TRUE(
+      service.validate(pki.leaves[0]->der(), intermediates, starved).truncated);
+  EXPECT_EQ(truncated.value(), 2u);
+}
+
 // Regression: the verdict-cache hit path used to drop the evaluator's
 // EvalStats on the floor (only miss and context paths accumulated them),
 // so a warm call was observably different from the cold call it replayed.

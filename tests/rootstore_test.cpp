@@ -83,6 +83,27 @@ TEST(RootStore, ForgetReturnsToUnknown) {
   EXPECT_TRUE(store.add_trusted(a).ok());
 }
 
+// The hash argument may be a key the store itself owns; the mutation
+// erases that key's map node, so it must not be read afterwards (this
+// call read freed memory when forget() took its argument by reference —
+// visible under -DANCHOR_SANITIZE=address).
+TEST(RootStore, ForgetAndDistrustAcceptKeysOwnedByTheStore) {
+  RootStore store;
+  CertPtr a = make_root("A");
+  CertPtr b = make_root("B");
+  const std::string hash_a = a->fingerprint_hex();
+  store.distrust(hash_a, "first");
+  ASSERT_TRUE(store.add_trusted(b).ok());
+
+  // Re-justify through the store's own key, then forget through it.
+  store.distrust(store.distrusted().begin()->first, "second");
+  EXPECT_EQ(store.distrusted().at(hash_a), "second");
+  EXPECT_TRUE(store.forget(store.distrusted().begin()->first));
+  EXPECT_EQ(store.state_of(hash_a), TrustState::kUnknown);
+  EXPECT_EQ(store.distrusted_count(), 0u);
+  EXPECT_EQ(store.state_of(b->fingerprint_hex()), TrustState::kTrusted);
+}
+
 TEST(RootStore, MetadataStoredAndUpdated) {
   RootStore store;
   CertPtr a = make_root("A");

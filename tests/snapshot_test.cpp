@@ -458,5 +458,103 @@ TEST(SnapshotService, EpochSwapNeverUnmapsUnderInFlightVerifies) {
   std::remove(path.c_str());
 }
 
+// trusted_with_subject() is an index over trusted(); whatever sequence of
+// mutations built the store, it must answer exactly trusted() filtered by
+// subject, in trusted() order — on the store, on a copy of it (the index
+// must survive the implicit copy), and on the StoreView written from it.
+// Several roots share a subject, so the order within a bucket is exercised.
+TEST(RootIndex, SubjectIndexMatchesFilteredTrustedUnderRandomMutations) {
+  std::vector<DistinguishedName> subjects;
+  for (const char* name : {"Idx Root A", "Idx Root B", "Idx Root C"}) {
+    subjects.push_back(DistinguishedName::make(name, "T"));
+  }
+  subjects.push_back(DistinguishedName::make("Idx Root A", "Other Org"));
+  std::vector<CertPtr> roots;
+  for (std::size_t i = 0; i < 12; ++i) {
+    const DistinguishedName& subject = subjects[i % subjects.size()];
+    SimKeyPair key = SimSig::keygen("idx-root-" + std::to_string(i));
+    roots.push_back(CertificateBuilder()
+                        .serial(100 + i)
+                        .subject(subject)
+                        .issuer(subject)
+                        .validity(0, unix_date(2040, 1, 1))
+                        .public_key(key.key_id)
+                        .ca(std::nullopt)
+                        .sign(key)
+                        .take());
+  }
+  // Queried alongside the root subjects: a name no root carries.
+  std::vector<DistinguishedName> queries = subjects;
+  queries.push_back(DistinguishedName::make("Idx Nobody", "T"));
+
+  auto fingerprints = [](const std::vector<const RootEntry*>& entries) {
+    std::vector<std::string> out;
+    for (const RootEntry* entry : entries) {
+      out.push_back(entry->cert->fingerprint_hex());
+    }
+    return out;
+  };
+  auto expect_index_agrees = [&](const StoreReader& reader,
+                                 const std::string& context) {
+    const std::vector<const RootEntry*> all = reader.trusted();
+    for (const DistinguishedName& subject : queries) {
+      std::vector<const RootEntry*> expected;
+      for (const RootEntry* entry : all) {
+        if (entry->cert->subject() == subject) expected.push_back(entry);
+      }
+      EXPECT_EQ(reader.trusted_with_subject(subject), expected)
+          << context << " subject " << subject.to_string();
+    }
+  };
+
+  Rng rng(0x1d5eedULL);
+  RootStore store;
+  for (int step = 0; step < 600; ++step) {
+    const CertPtr& root = roots[rng.uniform(roots.size())];
+    const std::string hash = root->fingerprint_hex();
+    switch (rng.uniform(5)) {
+      case 0:  // add (refused while distrusted)
+        (void)store.add_trusted(root);
+        break;
+      case 1:
+        store.distrust(hash, "step " + std::to_string(step));
+        break;
+      case 2:
+        store.forget(hash);
+        break;
+      case 3:  // re-add: forget whatever state it had, then trust again
+        store.forget(hash);
+        EXPECT_TRUE(store.add_trusted(root).ok());
+        break;
+      default: {  // force past distrust, sometimes with changed metadata
+        RootMetadata metadata;
+        metadata.ev_allowed = rng.uniform(2) == 0;
+        store.add_trusted_unchecked(root, metadata);
+        break;
+      }
+    }
+    const std::string context = "step " + std::to_string(step);
+    expect_index_agrees(store, context + " (store)");
+    const RootStore copy = store;
+    expect_index_agrees(copy, context + " (copy)");
+    for (const DistinguishedName& subject : queries) {
+      EXPECT_EQ(fingerprints(copy.trusted_with_subject(subject)),
+                fingerprints(store.trusted_with_subject(subject)))
+          << context;
+    }
+    if (step % 20 == 0) {
+      auto opened = StoreView::from_bytes(write_snapshot(store));
+      ASSERT_TRUE(opened.ok()) << opened.error.message;
+      expect_index_agrees(*opened.view, context + " (view)");
+      for (const DistinguishedName& subject : queries) {
+        EXPECT_EQ(fingerprints(opened.view->trusted_with_subject(subject)),
+                  fingerprints(store.trusted_with_subject(subject)))
+            << context;
+      }
+    }
+  }
+  EXPECT_GT(store.trusted_count(), 0u);
+}
+
 }  // namespace
 }  // namespace anchor::rootstore::snapshot

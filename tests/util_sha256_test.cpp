@@ -61,6 +61,30 @@ TEST(Sha256, ManySmallUpdates) {
   EXPECT_EQ(h.finish(), Sha256::hash(data));
 }
 
+// finish() pads in one update() call; every residue mod 64 (lengths 0 to
+// 130 cover each one twice, across one- and two-block tails) must match a
+// byte-at-a-time stream, and the whole sweep must match an independent
+// implementation: the constant is SHA-256 over the 131 digests, computed
+// with Python's hashlib over the same pattern.
+TEST(Sha256, PaddingAtEveryLengthMatchesByteSplitStreaming) {
+  Bytes pattern(130);
+  for (std::size_t i = 0; i < pattern.size(); ++i) {
+    pattern[i] = static_cast<std::uint8_t>(i * 37 + 11);
+  }
+  Sha256 sweep;
+  for (std::size_t len = 0; len <= pattern.size(); ++len) {
+    const BytesView message(pattern.data(), len);
+    Sha256 bytewise;
+    for (std::uint8_t byte : message) bytewise.update(BytesView(&byte, 1));
+    const Sha256::Digest digest = Sha256::hash(message);
+    EXPECT_EQ(bytewise.finish(), digest) << "len=" << len;
+    sweep.update(BytesView(digest));
+  }
+  const Sha256::Digest total = sweep.finish();
+  EXPECT_EQ(to_hex(BytesView(total)),
+            "cec4c6d09a19510a15db5bcadc0491d8921c4ac138b9237e9b623d4c0998fb45");
+}
+
 TEST(Sha256, DistinctInputsDistinctDigests) {
   Rng rng(99);
   Bytes a = rng.random_bytes(32);

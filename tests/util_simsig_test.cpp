@@ -76,6 +76,35 @@ TEST(SimSig, SignaturesDifferPerMessage) {
   EXPECT_NE(SimSig::sign(key, to_bytes("m1")), SimSig::sign(key, to_bytes("m2")));
 }
 
+// The key id is checked against the secret once, at registration: a pair
+// whose id does not derive from its secret is refused, so nothing signed
+// under it verifies — neither under the claimed id nor under the secret's
+// real one (which was never registered).
+TEST(SimSig, RegisterRefusesKeyIdNotDerivedFromSecret) {
+  SimSig registry;
+  SimKeyPair honest = SimSig::keygen("Honest CA");
+  SimKeyPair forged{honest.key_id, SimSig::keygen("Forger").secret};
+  EXPECT_FALSE(registry.register_key(forged));
+  EXPECT_EQ(registry.registered_keys(), 0u);
+  Bytes tbs = to_bytes("tbs certificate");
+  EXPECT_FALSE(registry.verify(forged.key_id, tbs, SimSig::sign(forged, tbs)));
+
+  // Registering the honest pair afterwards does not let the forger's
+  // signatures through: the tag is recomputed from the honest secret.
+  EXPECT_TRUE(registry.register_key(honest));
+  EXPECT_FALSE(registry.verify(honest.key_id, tbs, SimSig::sign(forged, tbs)));
+  Bytes signature = SimSig::sign(honest, tbs);
+  EXPECT_TRUE(registry.verify(honest.key_id, tbs, signature));
+
+  // A tampered TBS still fails under the registered key.
+  Bytes tampered = tbs;
+  tampered.back() ^= 0x01;
+  EXPECT_FALSE(registry.verify(honest.key_id, tampered, signature));
+  // So does a key id of the wrong length.
+  EXPECT_FALSE(registry.verify(BytesView(honest.key_id).first(31), tbs,
+                               signature));
+}
+
 TEST(SimSig, RegisteredKeysCount) {
   SimSig registry;
   EXPECT_EQ(registry.registered_keys(), 0u);
