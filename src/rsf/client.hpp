@@ -2,9 +2,13 @@
 //
 //  * RsfClient — the proposed mechanism: "a core RSF systemd service that
 //    periodically (hourly) polls the primary RSF of their choice and
-//    updates the root certificates exposed to applications" (§4). Every
-//    fetched run is signature- and hash-chain-verified before application,
-//    and the local (derivative) store is merged with the primary payload.
+//    updates the root certificates exposed to applications" (§4). Each
+//    poll is one feed-fetch exchange: the client pins the (size, root) of
+//    the history it adopted and accepts nothing until the served tree
+//    head's signature, a consistency proof from that pin, the snapshots'
+//    signatures and hash chain, and the head leaf's inclusion proof all
+//    verify. The local (derivative) store is then merged with the primary
+//    payload.
 //
 //    The client reaches the feed through a FeedTransport (transport.hpp)
 //    that can fail: polls that error or fail verification are retried on
@@ -78,14 +82,6 @@ struct ClientStats {
 // falling back to the full snapshot on any mismatch.
 enum class Transport { kFullSnapshot, kDelta };
 
-// Which poll protocol the client speaks. kAuto uses the Merkle-authenticated
-// feed-fetch path whenever the transport supports it (one RPC per poll:
-// signed tree head + consistency proof + snapshot range, proof-verified
-// before anything is adopted) and falls back to the legacy head-probe +
-// fetch-since path otherwise. kLegacy forces the old path even on capable
-// transports (tests, and deployments mid-migration).
-enum class PollPath { kAuto, kLegacy };
-
 // Retry / quarantine / staleness knobs. All times in seconds (SimClock
 // domain — the client is driven entirely by the `now` its caller passes).
 struct RetryPolicy {
@@ -147,9 +143,6 @@ class RsfClient {
   // primary snapshot.
   void set_local_store(rootstore::RootStore local);
 
-  // See PollPath. Takes effect on the next poll.
-  void set_poll_path(PollPath path) { poll_path_ = path; }
-
   // Invoked with the freshly adopted store at the end of every successful
   // update poll (after the epoch guard). At most one hook; empty clears.
   void set_adoption_hook(AdoptionHook hook) {
@@ -176,8 +169,7 @@ class RsfClient {
 
   const rootstore::RootStore& store() const { return store_; }
   std::uint64_t last_applied_sequence() const { return last_sequence_; }
-  // The Merkle root pinned at the last adoption (meaningful only on the
-  // feed-fetch poll path).
+  // The Merkle root pinned at the last adoption.
   const ctlog::Hash& pinned_tree_root() const { return pinned_root_; }
   std::int64_t last_update_time() const { return last_update_time_; }
   std::int64_t next_poll_time() const { return next_poll_; }
@@ -190,14 +182,12 @@ class RsfClient {
 
   std::size_t finish_poll(PollOutcome outcome, std::int64_t now,
                           std::size_t applied);
-  std::size_t poll_legacy(std::int64_t now);
   std::size_t poll_merkle(std::int64_t now);
-  // Replays/adopts an already signature- and chain-verified run. When
-  // `inline_deltas` is non-null (the feed-fetch path ships deltas in the
-  // same response) deltas are taken from it by index; otherwise they are
-  // fetched through the transport per snapshot.
+  // Replays/adopts an already proof-, signature- and chain-verified run.
+  // `deltas` are the ones the feed-fetch response carried inline, aligned
+  // with `run` by index (empty unless the client polls in delta mode).
   std::size_t adopt_verified_run(const std::vector<Snapshot>& run,
-                                 const std::vector<std::string>* inline_deltas,
+                                 const std::vector<std::string>& deltas,
                                  std::int64_t now);
   void publish_metrics(PollOutcome outcome);
   std::size_t fail_poll(TransportErrorKind kind, std::uint64_t sequence,
@@ -216,13 +206,7 @@ class RsfClient {
   std::int64_t next_poll_ = 0;
   std::uint64_t last_sequence_ = 0;
   std::string last_hash_;
-  ctlog::Hash pinned_root_{};        // tree root at last_sequence_ (merkle path)
-  PollPath poll_path_ = PollPath::kAuto;
-  // Set when the transport attempts a rollback; an equal-sequence head is
-  // then treated as a continued replay (never a healthy poll) until a
-  // strictly newer run — or, on the merkle path, a root-matching tree
-  // head — verifies.
-  bool rollback_suspect_ = false;
+  ctlog::Hash pinned_root_{};        // tree root at last_sequence_
   std::int64_t last_update_time_ = -1;
   std::int64_t last_contact_ = -1;   // last verified feed contact
   std::int64_t first_poll_ = -1;     // staleness baseline before any contact

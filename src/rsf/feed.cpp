@@ -147,18 +147,36 @@ Result<FeedFetch> Feed::feed_fetch(const FeedFetchQuery& query) const {
 
   // Clamp the range to the snapshot and byte budgets, always making
   // progress by at least one snapshot; under pagination the tree head is
-  // served AT the clamped size so the proofs below still verify.
-  std::uint64_t served = std::min<std::uint64_t>(
+  // served AT the clamped size so the proofs below still verify. The
+  // budget counts what the response carries: every payload, plus each
+  // delta when asked for.
+  const std::uint64_t limit = std::min<std::uint64_t>(
       to, query.from_size + query.max_snapshots);
-  if (query.max_bytes != 0) {
-    std::uint64_t budget_end = query.from_size;
-    std::size_t spent = 0;
-    for (std::uint64_t seq = query.from_size + 1; seq <= served; ++seq) {
-      spent += snapshots_[seq - 1].wire_size(!query.want_deltas);
-      if (spent > query.max_bytes && budget_end > query.from_size) break;
-      budget_end = seq;
+  std::uint64_t served = query.from_size;
+  std::size_t spent = 0;
+  bool deltas_ok = query.want_deltas;
+  for (std::uint64_t seq = query.from_size + 1; seq <= limit; ++seq) {
+    std::size_t cost = snapshots_[seq - 1].wire_size(true);
+    std::optional<std::string> delta;
+    if (deltas_ok) {
+      // A delta that cannot be derived (e.g. a corrupted stored payload)
+      // must not take the whole response down: serve the snapshots with a
+      // partial delta list and let the poller fall back to full payloads —
+      // where its own verification then catches any corruption.
+      auto derived = fetch_delta_locked(seq);
+      deltas_ok = derived.ok();
+      if (deltas_ok) {
+        delta = std::move(derived).take();
+        cost += kLenPrefix + delta->size();
+      }
     }
-    served = budget_end;
+    spent += cost;
+    if (query.max_bytes != 0 && spent > query.max_bytes &&
+        served > query.from_size) {
+      break;
+    }
+    served = seq;
+    if (delta) out.deltas.push_back(std::move(*delta));
   }
 
   out.sth = make_sth_locked(served);
@@ -169,18 +187,6 @@ Result<FeedFetch> Feed::feed_fetch(const FeedFetchQuery& query) const {
   out.snapshots.assign(
       snapshots_.begin() + static_cast<std::ptrdiff_t>(query.from_size),
       snapshots_.begin() + static_cast<std::ptrdiff_t>(served));
-  if (query.want_deltas) {
-    out.deltas.reserve(out.snapshots.size());
-    for (const Snapshot& snap : out.snapshots) {
-      auto delta = fetch_delta_locked(snap.sequence);
-      // A delta that cannot be derived (e.g. a corrupted stored payload)
-      // must not take the whole response down: serve the snapshots with a
-      // partial delta list and let the poller fall back to full payloads —
-      // where its own verification then catches any corruption.
-      if (!delta) break;
-      out.deltas.push_back(std::move(delta).take());
-    }
-  }
   return out;
 }
 
@@ -213,11 +219,6 @@ Result<std::string> Feed::fetch_delta_locked(std::uint64_t sequence) const {
       rootstore::RootStore::deserialize(snapshots_[sequence - 1].payload);
   if (!current) return err(current.error());
   return StoreDelta::diff(previous, current.value()).serialize();
-}
-
-Result<std::string> Feed::fetch_delta(std::uint64_t sequence) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return fetch_delta_locked(sequence);
 }
 
 Status Feed::restore(std::vector<Snapshot> run) {

@@ -46,8 +46,10 @@ struct Snapshot {
   Bytes transcript() const;
 
   // Serialized footprint on the feed-fetch wire. The payload is the
-  // dominant term; delta-mode polls ship headers only (the payload travels
-  // as a StoreDelta instead), so it is optional here.
+  // dominant term and always rides along (delta-mode responses carry each
+  // StoreDelta in addition, so the poller can verify the replayed replica
+  // and fall back to the payload); `include_payload = false` gives the
+  // header alone, which is what a poller counts as authentication overhead.
   std::size_t wire_size(bool include_payload) const;
 
   bool operator==(const Snapshot&) const = default;
@@ -83,7 +85,7 @@ struct FeedFetchQuery {
   std::uint64_t from_size = 0;      // poller's pinned tree size (0 = none)
   std::uint64_t to_size = 0;        // 0 = current head; else a historic view
   std::uint32_t max_snapshots = kAllSnapshots;  // 0 = tree-head-only probe
-  std::uint64_t max_bytes = 0;      // snapshot byte budget, 0 = unbounded
+  std::uint64_t max_bytes = 0;      // range byte budget, 0 = unbounded
   bool want_deltas = false;         // also ship the StoreDelta per snapshot
 
   bool operator==(const FeedFetchQuery&) const = default;
@@ -131,27 +133,29 @@ class Feed {
   // Serves a feed-fetch query: signed tree head, consistency proof from
   // the poller's pinned size, inclusion proof for the served head leaf,
   // and the snapshot range — clamped to the query's snapshot/byte budget
-  // (always making progress by at least one snapshot). A query whose
-  // from_size is at or beyond the served head gets the tree head alone;
-  // the poller classifies staleness/rollback itself.
+  // (always making progress by at least one snapshot). The byte budget
+  // counts what the response carries: every snapshot with its payload,
+  // plus its delta when `want_deltas`. A query whose from_size is at or
+  // beyond the served head gets the tree head alone; the poller classifies
+  // staleness/rollback itself.
+  //
+  // Delta transport: with `want_deltas`, each served snapshot also ships
+  // the serialized StoreDelta turning snapshot `sequence-1` into it (for
+  // sequence 1, a delta from the empty store). Clients apply deltas to
+  // their local replica and verify the result against the snapshot's
+  // signed payload hash — integrity derives from the snapshot signature,
+  // so deltas need no signature of their own.
   Result<FeedFetch> feed_fetch(const FeedFetchQuery& query) const;
 
-  // Snapshots with sequence > `after` (what a legacy polling client
-  // fetches).
+  // Snapshots with sequence > `after`, unauthenticated: the feed's own
+  // history as the publisher holds it, for in-process readers (manual
+  // mirrors, restore, the simulator, tests). Pollers use feed_fetch.
   std::vector<Snapshot> fetch_since(std::uint64_t after) const;
 
   // Direct access for single-threaded callers (manual mirrors, tests);
   // the pointer is invalidated by publish(), so do not mix with
   // concurrent publication.
   const Snapshot* at(std::uint64_t sequence) const;
-
-  // Delta transport: the serialized StoreDelta turning snapshot
-  // `sequence-1` into snapshot `sequence` (for sequence 1, a delta from the
-  // empty store). Clients apply deltas to their local replica and verify
-  // the result against the snapshot's signed payload hash — integrity
-  // derives from the snapshot signature, so deltas need no signature of
-  // their own. Computed on demand; empty Result on bad sequence.
-  Result<std::string> fetch_delta(std::uint64_t sequence) const;
 
   // Rebuilds the feed from an externally stored run (e.g. an anchorctl
   // feed directory): verifies the full chain against this feed's key, then
@@ -188,6 +192,7 @@ class Feed {
 
  private:
   SignedTreeHead make_sth_locked(std::uint64_t tree_size) const;
+  // The StoreDelta for `sequence` (see feed_fetch), computed on demand.
   Result<std::string> fetch_delta_locked(std::uint64_t sequence) const;
 
   std::string name_;

@@ -13,6 +13,7 @@
 #include "anchord/client.hpp"
 #include "anchord/server.hpp"
 #include "ctlog/merkle.hpp"
+#include "net/transport.hpp"
 #include "rsf/client.hpp"
 #include "util/time.hpp"
 #include "x509/builder.hpp"
@@ -86,7 +87,6 @@ TEST(FeedFetchWire, RsfClientAdoptsOverTheWire) {
 
   AnchordClient client(h.client_end());
   WireFeedTransport wire(client, "nss");
-  EXPECT_TRUE(wire.supports_feed_fetch());
 
   rsf::RsfClient poller(wire, 3600);
   EXPECT_EQ(poller.poll_now(kNow + 20), 2u);
@@ -119,29 +119,68 @@ TEST(FeedFetchWire, DeltaTransportShipsInlineDeltasOverTheWire) {
   EXPECT_EQ(poller.poll_now(kNow + 30), 3u);
   EXPECT_EQ(poller.last_applied_sequence(), 3u);
   EXPECT_EQ(poller.store().trusted_count(), 5u);
-  // The deltas rode inside the feed-fetch response; none were fetched
-  // through the (unsupported) per-sequence legacy call.
+  // The deltas rode inside the feed-fetch response and every replay
+  // matched the signed payload hash.
   EXPECT_EQ(poller.stats().deltas_applied, 3u);
   EXPECT_EQ(poller.stats().delta_fallbacks, 0u);
 }
 
-TEST(FeedFetchWire, HeadProbeAndLegacyCallsOnTheWireTransport) {
+TEST(FeedFetchWire, TreeHeadProbeOnTheWireTransport) {
   FeedHarness h;
   h.feed.publish(store_with(2), kNow, "r1");
 
   AnchordClient client(h.client_end());
   WireFeedTransport wire(client, "nss");
-  auto head = wire.head_sequence();
+  rsf::FeedFetchQuery probe;
+  probe.max_snapshots = 0;  // tree head only
+  auto head = wire.feed_fetch(probe);
   ASSERT_TRUE(head.ok()) << head.error();
-  EXPECT_EQ(head.value(), 1u);
+  EXPECT_EQ(head.value().sth, h.feed.tree_head());
+  EXPECT_TRUE(head.value().consistency.empty());
+  EXPECT_TRUE(head.value().inclusion.empty());
+  EXPECT_TRUE(head.value().snapshots.empty());
   // The key id is derived from the publisher name out of band — it must
   // match what the feed itself advertises.
   EXPECT_EQ(wire.key_id(), h.feed.key_id());
+}
 
-  // The wire transport serves ONLY the authenticated path; the legacy
-  // calls err loudly instead of silently bypassing proof verification.
-  EXPECT_FALSE(wire.fetch_since(0).ok());
-  EXPECT_FALSE(wire.fetch_delta(1).ok());
+// Regression: the feed's byte budget counted only snapshot headers for a
+// delta-mode query, while the response carries every payload AND every
+// delta. A backlog whose payloads together overflow the frame was then
+// refused by the daemon (kOverloaded) on every poll — the same page was
+// recomputed each time — so a delta-mode poller never caught up. The
+// budget now counts what the frame carries and the poller pages through.
+TEST(FeedFetchWire, DeltaPollerCatchesUpOnABacklogLargerThanOneFrame) {
+  constexpr int kSnapshots = 8;
+  FeedHarness h;
+  rootstore::RootStore store = store_with(400);
+  for (int i = 1; i <= kSnapshots; ++i) {
+    (void)store.add_trusted(make_root("Backlog Root " + std::to_string(i)));
+    h.feed.publish(store, kNow + i, "r" + std::to_string(i));
+  }
+  const std::size_t payload = h.feed.at(kSnapshots)->payload.size();
+  // Each snapshot fits a frame on its own; the backlog does not.
+  ASSERT_LT(2 * payload, net::kMaxFrameBytes / 2);
+  ASSERT_GT(kSnapshots * payload, net::kMaxFrameBytes);
+
+  AnchordClient client(h.client_end());
+  WireFeedTransport wire(client, "nss");
+  rsf::RsfClient poller(wire, 3600, rsf::MergePolicy::kPrimaryWins,
+                        rsf::Transport::kDelta);
+  std::int64_t t = kNow + 100;
+  for (int i = 0; i < kSnapshots && poller.last_applied_sequence() <
+                                        static_cast<std::uint64_t>(kSnapshots);
+       ++i) {
+    EXPECT_GT(poller.poll_now(t), 0u) << "poll " << i;
+    t += 3600;
+  }
+  EXPECT_EQ(poller.last_applied_sequence(),
+            static_cast<std::uint64_t>(kSnapshots));
+  EXPECT_EQ(poller.stats().transport_errors_total(), 0u);
+  EXPECT_EQ(poller.stats().delta_fallbacks, 0u);
+  EXPECT_EQ(poller.stats().deltas_applied,
+            static_cast<std::uint64_t>(kSnapshots));
+  EXPECT_TRUE(poller.store().serialize() == store.serialize());
 }
 
 TEST(FeedFetchWire, NoFeedAttachedIsUnavailableNotACrash) {

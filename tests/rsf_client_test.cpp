@@ -6,7 +6,6 @@
 
 #include "rsf/transport.hpp"
 #include "util/rng.hpp"
-#include "util/sha256.hpp"
 #include "util/time.hpp"
 #include "x509/builder.hpp"
 
@@ -398,49 +397,6 @@ TEST(RsfClient, RunUntilIssuesOneCatchUpPollAfterOfflineGap) {
   EXPECT_EQ(client.next_poll_time(), wake + 3600);
   EXPECT_EQ(client.run_until(wake + 3599), 0u);
   EXPECT_EQ(client.stats().polls, 2u);
-}
-
-// Regression: a payload that is correctly signed and hash-verified but does
-// not deserialize (a publisher-side bug, not transport tamper) used to be
-// counted as a verify_failure, poisoning the metric operators alarm on for
-// integrity attacks. The two causes are now distinct counters with
-// identical fail-closed handling.
-TEST(RsfClient, SignedButUnparsablePayloadIsAParseFailureNotAVerifyFailure) {
-  SimSig registry;
-  Feed feed("nss", registry);
-  feed.publish(store_with({"A"}), 1, "r1");
-  RsfClient client(feed, 3600);
-  // The fixture edits a published snapshot in place, which the Merkle poll
-  // path rejects as a proof failure before the payload is ever parsed
-  // (published history cannot be rewritten). The parse-vs-verify
-  // classification under test lives on the shared adoption path; pin the
-  // legacy poll so the fixture can reach it.
-  client.set_poll_path(PollPath::kLegacy);
-  EXPECT_EQ(client.poll_now(10), 1u);
-
-  // The publisher ships garbage, but signs it properly: recompute the
-  // payload hash and signature exactly as Feed::publish would.
-  feed.publish(store_with({"A", "B"}), 2, "r2");
-  Snapshot* snap = feed.mutable_at(2);
-  snap->payload = "not a serialized root store";
-  snap->payload_hash = Sha256::hash_hex(BytesView(to_bytes(snap->payload)));
-  snap->signature = SimSig::sign(SimSig::keygen("rsf-feed-nss"),
-                                 BytesView(snap->transcript()));
-
-  EXPECT_EQ(client.poll_now(20), 0u);
-  EXPECT_EQ(client.stats().parse_failures, 1u);
-  EXPECT_EQ(client.stats().verify_failures, 0u);
-  // Fail-closed handling is identical to a verify failure: the last good
-  // store is retained and the fetched bytes are accounted as discarded.
-  EXPECT_EQ(client.store().trusted_count(), 1u);
-  EXPECT_EQ(client.last_applied_sequence(), 1u);
-  EXPECT_EQ(client.stats().bytes_discarded, snap->payload.size());
-  // And the converse stays true: transport tamper is a verify failure.
-  feed.publish(store_with({"A", "B", "C"}), 3, "r3");
-  feed.mutable_at(3)->payload += "garbage";
-  EXPECT_EQ(client.poll_now(30), 0u);
-  EXPECT_EQ(client.stats().verify_failures, 1u);
-  EXPECT_EQ(client.stats().parse_failures, 1u);
 }
 
 // Property-style check: under arbitrary interleavings of publishes and

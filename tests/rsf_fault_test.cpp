@@ -11,11 +11,11 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
 
 #include "rsf/client.hpp"
 #include "rsf/clock.hpp"
-#include "util/sha256.hpp"
 #include "util/time.hpp"
 #include "x509/builder.hpp"
 
@@ -55,19 +55,18 @@ class ScriptedTransport : public FeedTransport {
 
   const std::string& name() const override { return direct_.name(); }
   const Bytes& key_id() const override { return direct_.key_id(); }
-  Result<std::uint64_t> head_sequence() override {
-    return direct_.head_sequence();
-  }
-  Result<std::vector<Snapshot>> fetch_since(std::uint64_t after) override {
-    if (unreachable) return err("scripted: unreachable");
-    return direct_.fetch_since(after);
-  }
-  Result<std::string> fetch_delta(std::uint64_t sequence) override {
-    if (sequence == corrupt_delta_at) return std::string("garbage delta");
-    return direct_.fetch_delta(sequence);
+  Result<FeedFetch> feed_fetch(const FeedFetchQuery& query) override {
+    auto fetched = direct_.feed_fetch(query);
+    if (!fetched || corrupt_delta_at == 0) return fetched;
+    FeedFetch out = std::move(fetched).take();
+    for (std::size_t i = 0; i < out.deltas.size(); ++i) {
+      if (out.snapshots[i].sequence == corrupt_delta_at) {
+        out.deltas[i] = "garbage delta";
+      }
+    }
+    return out;
   }
 
-  bool unreachable = false;
   std::uint64_t corrupt_delta_at = 0;  // 0 = no corruption
 
  private:
@@ -80,12 +79,15 @@ TEST(FaultyTransport, ZeroProfileIsTransparent) {
   feed.publish(store_with(3), 100, "r1");
   DirectTransport direct(feed);
   FaultyTransport faulty(direct, FaultProfile{}, /*seed=*/7);
-  auto run = faulty.fetch_since(0);
-  ASSERT_TRUE(run.ok());
-  EXPECT_EQ(run.value().size(), 1u);
+  FeedFetchQuery query;
+  query.want_deltas = true;
+  auto ff = faulty.feed_fetch(query);
+  ASSERT_TRUE(ff.ok());
+  EXPECT_EQ(ff.value().snapshots.size(), 1u);
   EXPECT_EQ(faulty.injected_total(), 0u);
-  Status s = Feed::verify_run(run.value(), "", BytesView(faulty.key_id()),
-                              registry);
+  EXPECT_EQ(ff.value(), feed.feed_fetch(query).value());
+  Status s = Feed::verify_run(ff.value().snapshots, "",
+                              BytesView(faulty.key_id()), registry);
   EXPECT_TRUE(s.ok());
 }
 
@@ -98,25 +100,19 @@ TEST(FaultyTransport, InjectionIsDeterministicUnderSeed) {
   auto observe = [&](std::uint64_t seed) {
     DirectTransport direct(feed);
     FaultyTransport faulty(direct, FaultProfile::chaos(0.5), seed);
-    std::vector<std::string> hashes;
+    FeedFetchQuery query;
+    query.from_size = 2;
+    query.want_deltas = true;
+    std::vector<std::optional<FeedFetch>> responses;  // nullopt: unreachable
     for (int i = 0; i < 16; ++i) {
-      auto run = faulty.fetch_since(2);
-      if (!run) {
-        hashes.push_back("<unreachable>");
-        continue;
-      }
-      std::string digest;
-      for (const Snapshot& snap : run.value()) {
-        digest += std::to_string(snap.sequence) + ":" +
-                  Sha256::hash_hex(BytesView(to_bytes(snap.payload))) + ";";
-        digest += to_hex(BytesView(snap.signature)).substr(0, 8) + "|";
-      }
-      hashes.push_back(digest);
+      auto ff = faulty.feed_fetch(query);
+      responses.push_back(ff ? std::optional(std::move(ff).take())
+                             : std::nullopt);
     }
-    return hashes;
+    return responses;
   };
-  EXPECT_EQ(observe(42), observe(42));
-  EXPECT_NE(observe(42), observe(43));
+  EXPECT_TRUE(observe(42) == observe(42));
+  EXPECT_FALSE(observe(42) == observe(43));
 }
 
 TEST(FaultyTransport, CorruptionIsDetectedByVerifyRun) {
@@ -126,19 +122,26 @@ TEST(FaultyTransport, CorruptionIsDetectedByVerifyRun) {
   feed.publish(store_with(4), 200, "r2");
   DirectTransport direct(feed);
   FaultyTransport faulty(direct, FaultProfile::corruption(1.0), /*seed=*/3);
-  auto run = faulty.fetch_since(0);
-  ASSERT_TRUE(run.ok());
+  FeedFetchQuery query;
+  query.want_deltas = true;
+  auto ff = faulty.feed_fetch(query);
+  ASSERT_TRUE(ff.ok());
+  EXPECT_EQ(faulty.injected(TransportErrorKind::kCorruptPayload), 1u);
+  EXPECT_EQ(faulty.injected(TransportErrorKind::kBadSignature), 1u);
+  EXPECT_EQ(faulty.injected(TransportErrorKind::kCorruptDelta), 1u);
   Feed::RunFault fault = Feed::RunFault::kNone;
-  Status s = Feed::verify_run(run.value(), "", BytesView(faulty.key_id()),
-                              registry, &fault);
+  Status s = Feed::verify_run(ff.value().snapshots, "",
+                              BytesView(faulty.key_id()), registry, &fault);
   EXPECT_FALSE(s.ok());
   EXPECT_NE(fault, Feed::RunFault::kNone);
-  // The underlying feed is untouched: a clean fetch still verifies.
-  auto clean = direct.fetch_since(0);
+  // The underlying feed is untouched: a clean fetch still verifies and
+  // ships the undamaged deltas.
+  auto clean = direct.feed_fetch(query);
   ASSERT_TRUE(clean.ok());
-  EXPECT_TRUE(Feed::verify_run(clean.value(), "", BytesView(direct.key_id()),
-                               registry)
+  EXPECT_TRUE(Feed::verify_run(clean.value().snapshots, "",
+                               BytesView(direct.key_id()), registry)
                   .ok());
+  EXPECT_NE(clean.value().deltas, ff.value().deltas);
 }
 
 // --- client behaviour under faults -----------------------------------------
@@ -438,11 +441,24 @@ TEST(RsfFault, AbandonedDeltaReplayDoesNotInflateDeltasApplied) {
   EXPECT_EQ(client.stats().deltas_applied, 1u);
   // The discarded delta bytes are accounted: fetched (they crossed the
   // wire) and discarded (they bought nothing); the fallback snapshot bytes
-  // are fetched only.
-  EXPECT_GT(client.stats().bytes_discarded, 0u);
+  // and the response's authentication overhead (tree head, proofs,
+  // snapshot headers) are fetched only.
+  FeedFetchQuery served_query;
+  served_query.from_size = 1;
+  served_query.want_deltas = true;
+  const FeedFetch served = feed.feed_fetch(served_query).take();
+  std::uint64_t overhead =
+      served.sth.wire_size() +
+      (served.consistency.size() + served.inclusion.size()) *
+          sizeof(ctlog::Hash);
+  for (const Snapshot& snap : served.snapshots) {
+    overhead += snap.wire_size(false);
+  }
+  EXPECT_EQ(client.stats().bytes_discarded,
+            served.deltas[0].size() + std::string("garbage delta").size());
   EXPECT_EQ(client.stats().bytes_fetched,
-            bytes_after_bootstrap + client.stats().bytes_discarded +
-                feed.at(3)->payload.size());
+            bytes_after_bootstrap + overhead +
+                client.stats().bytes_discarded + feed.at(3)->payload.size());
   // And the client still adopted the verified head via the snapshot.
   EXPECT_EQ(client.last_applied_sequence(), 3u);
   EXPECT_EQ(client.store().trusted_count(), 5u);

@@ -3,13 +3,13 @@
 // verification before any adoption, rollback detection by pinned root
 // rather than sequence number, and the E17 fleet-simulation fixture.
 //
-// Two regression tests ride along:
-//   * LegacyEqualHeadReplayAfterRollback — an equal-sequence head served
-//     right after a rollback attempt must stay a failure (continued
-//     replay), never reset backoff or refresh last-contact;
+// Regression tests ride along:
 //   * FleetAdoptionIsDatedAtVerifyNotFetch — the simulator's adoption
 //     percentiles must move one-for-one with the client-side verify
-//     latency, which they cannot do if they are dated at fetch time.
+//     latency, which they cannot do if they are dated at fetch time;
+//   * SignedButUnparsablePayloadIsAParseFailureNotAVerifyFailure — a
+//     correctly signed payload that does not deserialize is a publisher
+//     bug, counted apart from integrity failures.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +18,7 @@
 #include "rsf/client.hpp"
 #include "rsf/simulator.hpp"
 #include "rsf/transport.hpp"
+#include "util/sha256.hpp"
 #include "util/time.hpp"
 #include "x509/builder.hpp"
 
@@ -60,16 +61,6 @@ class PaginatingTransport : public FeedTransport {
 
   const std::string& name() const override { return direct_.name(); }
   const Bytes& key_id() const override { return direct_.key_id(); }
-  Result<std::uint64_t> head_sequence() override {
-    return direct_.head_sequence();
-  }
-  Result<std::vector<Snapshot>> fetch_since(std::uint64_t after) override {
-    return direct_.fetch_since(after);
-  }
-  Result<std::string> fetch_delta(std::uint64_t sequence) override {
-    return direct_.fetch_delta(sequence);
-  }
-  bool supports_feed_fetch() const override { return true; }
   Result<FeedFetch> feed_fetch(const FeedFetchQuery& query) override {
     FeedFetchQuery clamped = query;
     clamped.max_snapshots = page_;
@@ -83,7 +74,7 @@ class PaginatingTransport : public FeedTransport {
 
 // Serves one of two feeds, switchable mid-test: the split-view attack, where
 // a second publisher holding the same key (same feed name) answers with a
-// same-size but different history.
+// different history.
 class SwitchableTransport : public FeedTransport {
  public:
   SwitchableTransport(const Feed& a, const Feed& b) : a_(a), b_(b) {}
@@ -92,16 +83,6 @@ class SwitchableTransport : public FeedTransport {
 
   const std::string& name() const override { return current().name(); }
   const Bytes& key_id() const override { return current().key_id(); }
-  Result<std::uint64_t> head_sequence() override {
-    return current().head_sequence();
-  }
-  Result<std::vector<Snapshot>> fetch_since(std::uint64_t after) override {
-    return current().fetch_since(after);
-  }
-  Result<std::string> fetch_delta(std::uint64_t sequence) override {
-    return current().fetch_delta(sequence);
-  }
-  bool supports_feed_fetch() const override { return true; }
   Result<FeedFetch> feed_fetch(const FeedFetchQuery& query) override {
     return current().feed_fetch(query);
   }
@@ -111,39 +92,6 @@ class SwitchableTransport : public FeedTransport {
   const Feed& a_;
   const Feed& b_;
   bool second_ = false;
-};
-
-// Legacy-path transport whose advertised head can be pinned below (or at)
-// the true head — a lagging cache replaying stale state.
-class ForcedHeadTransport : public FeedTransport {
- public:
-  explicit ForcedHeadTransport(const Feed& feed) : direct_(feed) {}
-
-  const std::string& name() const override { return direct_.name(); }
-  const Bytes& key_id() const override { return direct_.key_id(); }
-  Result<std::uint64_t> head_sequence() override {
-    if (forced_head != 0) return forced_head;
-    return direct_.head_sequence();
-  }
-  Result<std::vector<Snapshot>> fetch_since(std::uint64_t after) override {
-    auto fetched = direct_.fetch_since(after);
-    if (!fetched || forced_head == 0) return fetched;
-    std::vector<Snapshot> run = std::move(fetched).take();
-    run.erase(std::remove_if(run.begin(), run.end(),
-                             [&](const Snapshot& snap) {
-                               return snap.sequence > forced_head;
-                             }),
-              run.end());
-    return run;
-  }
-  Result<std::string> fetch_delta(std::uint64_t sequence) override {
-    return direct_.fetch_delta(sequence);
-  }
-
-  std::uint64_t forced_head = 0;  // 0 = honest
-
- private:
-  DirectTransport direct_;
 };
 
 TEST(FeedTreeHead, SignsATreeHeadPerPublication) {
@@ -425,6 +373,58 @@ TEST(RsfClientMerkle, EqualSizeDifferentRootIsARollback) {
   EXPECT_EQ(client.health(), ClientHealth::kHealthy);
 }
 
+TEST(RsfClientMerkle, LongerForkedHistoryIsABadProofAndQuarantined) {
+  // The same split-view attacker, but the forked history is LONGER than
+  // the client's pin and diverges below it. The signed head is newer, so
+  // only the consistency proof from the pinned root can refuse it.
+  SimSig registry;
+  Feed honest("twin", registry);
+  honest.publish(store_with(2, "Honest"), kNow, "r1");
+  honest.publish(store_with(3, "Honest"), kNow + 10, "r2");
+  Feed forked("twin", registry);
+  for (int i = 1; i <= 4; ++i) {
+    forked.publish(store_with(i + 1, "Forked"), kNow + 10 * i, "f");
+  }
+
+  SwitchableTransport transport(honest, forked);
+  RetryPolicy retry;
+  retry.quarantine_threshold = 3;
+  RsfClient client(transport, 3600, MergePolicy::kPrimaryWins,
+                   Transport::kFullSnapshot, retry);
+  ASSERT_EQ(client.poll_now(kNow + 100), 2u);
+  const ctlog::Hash pinned = client.pinned_tree_root();
+  const std::string adopted = client.store().serialize();
+
+  transport.serve_second(true);
+  std::int64_t t = kNow + 3700;
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(client.poll_now(t), 0u);
+    t += 3600;
+  }
+  EXPECT_EQ(client.stats().proof_failures, 3u);
+  EXPECT_EQ(client.stats().transport_error(TransportErrorKind::kBadProof), 3u);
+  EXPECT_EQ(client.stats().transport_error(TransportErrorKind::kRollback), 0u);
+  EXPECT_EQ(client.stats().updates_applied, 2u);
+  EXPECT_EQ(client.last_applied_sequence(), 2u);
+  EXPECT_EQ(client.pinned_tree_root(), pinned);
+  EXPECT_EQ(client.store().serialize(), adopted);
+
+  // Past the threshold the forked head is quarantined: no more fetches of
+  // it are verified, and health stays degraded.
+  EXPECT_EQ(client.stats().quarantine_size, 1u);
+  EXPECT_EQ(client.poll_now(t), 0u);
+  EXPECT_EQ(client.stats().quarantine_skips, 1u);
+  EXPECT_EQ(client.stats().proof_failures, 3u);
+  EXPECT_EQ(client.health(), ClientHealth::kDegraded);
+  EXPECT_EQ(client.last_applied_sequence(), 2u);
+
+  // The honest view still verifies against the untouched pin.
+  transport.serve_second(false);
+  EXPECT_EQ(client.poll_now(t + 3600), 0u);
+  EXPECT_EQ(client.stats().verified_no_change, 1u);
+  EXPECT_EQ(client.pinned_tree_root(), pinned);
+}
+
 TEST(RsfClientMerkle, RootVerifiedNoChangeClearsRollbackSuspicion) {
   SimSig registry;
   Feed feed("nss", registry);
@@ -452,61 +452,52 @@ TEST(RsfClientMerkle, RootVerifiedNoChangeClearsRollbackSuspicion) {
   EXPECT_EQ(client.health(), ClientHealth::kHealthy);
 }
 
-// Satellite regression: on the LEGACY path an equal-sequence head right
-// after a rollback attempt is exactly what a continued replay looks like.
-// Pre-fix, the client treated it as a healthy no-change poll — resetting
-// backoff and refreshing last-contact, so a replaying cache could hold a
-// client on its own head forever while looking healthy.
-TEST(RsfClientLegacy, EqualHeadReplayAfterRollbackStaysAFailure) {
+// Regression: a payload that is correctly signed and hash-verified but does
+// not deserialize (a publisher-side bug, not transport tamper) used to be
+// counted as a verify_failure, poisoning the metric operators alarm on for
+// integrity attacks. The two causes are now distinct counters with
+// identical fail-closed handling.
+TEST(RsfClient, SignedButUnparsablePayloadIsAParseFailureNotAVerifyFailure) {
   SimSig registry;
   Feed feed("nss", registry);
-  feed.publish(store_with(2), kNow - 200, "r1");
-  feed.publish(store_with(3), kNow - 100, "r2");
+  feed.publish(store_with(1), 1, "r1");
+  SimSig buggy_registry;
+  Feed buggy("nss", buggy_registry);
+  SwitchableTransport transport(feed, buggy);
+  RsfClient client(transport, 3600);
+  EXPECT_EQ(client.poll_now(10), 1u);
 
-  ForcedHeadTransport transport(feed);
-  RetryPolicy retry;
-  retry.jitter = 0;  // deterministic backoff arithmetic
-  RsfClient client(transport, 3600, MergePolicy::kPrimaryWins,
-                   Transport::kFullSnapshot, retry);
-  client.set_poll_path(PollPath::kLegacy);
-  ASSERT_EQ(client.poll_now(kNow), 2u);
-  ASSERT_EQ(client.last_applied_sequence(), 2u);
+  // The publisher ships garbage, but signs it properly: recompute the
+  // payload hash and signature exactly as Feed::publish would, and rebuild
+  // the feed around that run so its tree heads and proofs commit to it.
+  // Leaf 1 is shared, so the consistency proof from the client's pin
+  // verifies and the poll reaches the payload parse.
+  feed.publish(store_with(2), 2, "r2");
+  std::vector<Snapshot> run = feed.fetch_since(0);
+  Snapshot& garbage = run[1];
+  garbage.payload = "not a serialized root store";
+  garbage.payload_hash =
+      Sha256::hash_hex(BytesView(to_bytes(garbage.payload)));
+  garbage.signature = SimSig::sign(SimSig::keygen("rsf-feed-nss"),
+                                   BytesView(garbage.transcript()));
+  ASSERT_TRUE(buggy.restore(run).ok());
+  transport.serve_second(true);
 
-  // Rollback attempt: the advertised head drops below the verified pin.
-  transport.forced_head = 1;
-  const std::int64_t t1 = kNow + 3600;
-  EXPECT_EQ(client.poll_now(t1), 0u);
-  EXPECT_EQ(client.stats().transport_error(TransportErrorKind::kRollback), 1u);
-  EXPECT_EQ(client.next_poll_time(), t1 + 60);  // first backoff step
-  EXPECT_EQ(client.health(), ClientHealth::kDegraded);
-
-  // The replay continues at the client's own head. This must NOT count as
-  // a healthy poll: backoff keeps growing (60 -> 120) and last-contact is
-  // not refreshed (staleness keeps accruing from the adoption).
-  transport.forced_head = 2;
-  const std::int64_t t2 = t1 + 60;
-  EXPECT_EQ(client.poll_now(t2), 0u);
-  EXPECT_EQ(client.stats().transport_error(TransportErrorKind::kRollback), 2u);
-  EXPECT_EQ(client.stats().retries, 2u);
-  EXPECT_EQ(client.next_poll_time(), t2 + 120);  // NOT reset to interval
-  EXPECT_EQ(client.health(), ClientHealth::kDegraded);
-  EXPECT_EQ(client.stats().seconds_stale, t2 - kNow);
-  EXPECT_EQ(client.stats().updates_applied, 2u);
-
-  // Only a strictly newer verified run clears the suspicion on this path.
-  transport.forced_head = 0;
-  feed.publish(store_with(4), t2, "r3");
-  const std::int64_t t3 = t2 + 120;
-  EXPECT_EQ(client.poll_now(t3), 1u);
-  EXPECT_EQ(client.last_applied_sequence(), 3u);
-  EXPECT_EQ(client.health(), ClientHealth::kHealthy);
-  EXPECT_EQ(client.next_poll_time(), t3 + 3600);  // backoff reset
-
-  // And a LEGITIMATE equal-head poll afterwards is a plain no-change.
-  const std::int64_t t4 = t3 + 3600;
-  EXPECT_EQ(client.poll_now(t4), 0u);
-  EXPECT_EQ(client.stats().transport_error(TransportErrorKind::kRollback), 2u);
-  EXPECT_EQ(client.health(), ClientHealth::kHealthy);
+  EXPECT_EQ(client.poll_now(20), 0u);
+  EXPECT_EQ(client.stats().parse_failures, 1u);
+  EXPECT_EQ(client.stats().verify_failures, 0u);
+  EXPECT_EQ(client.stats().proof_failures, 0u);
+  // Fail-closed handling is identical to a verify failure: the last good
+  // store is retained and the fetched payload is accounted as discarded.
+  EXPECT_EQ(client.store().trusted_count(), 1u);
+  EXPECT_EQ(client.last_applied_sequence(), 1u);
+  EXPECT_EQ(client.stats().bytes_discarded, garbage.payload.size());
+  // And the converse stays true: transport tamper is a verify failure.
+  buggy.publish(store_with(3), 3, "r3");
+  buggy.mutable_at(3)->payload += "garbage";
+  EXPECT_EQ(client.poll_now(30), 0u);
+  EXPECT_EQ(client.stats().verify_failures, 1u);
+  EXPECT_EQ(client.stats().parse_failures, 1u);
 }
 
 // Satellite regression: the fleet simulator dates adoption at the fetch
